@@ -12,9 +12,8 @@
 namespace jisc {
 
 // Bounded blocking multi-producer / multi-consumer queue. The parallel
-// execution engine uses it wherever more than one thread may produce into
-// the same channel (worker -> coordinator acknowledgements); the
-// single-producer shard feeds use SpscQueue instead.
+// execution engine uses it for every channel: the coordinator -> shard
+// feeds and the worker -> coordinator acknowledgements.
 //
 // Backpressure: Push blocks while the queue is full. Shutdown/drain
 // protocol: Close() wakes every waiter; subsequent Push calls are rejected,
@@ -23,10 +22,10 @@ namespace jisc {
 // a loss-free drain.
 //
 // Concurrency contract (compiler-checked): items_ and closed_ are only
-// touched under mu_; notifies are issued after the lock is dropped, so a
-// woken peer never immediately blocks on the still-held mutex (and the
-// notify path can never re-enter mu_ — the self-deadlock shape fixed in
-// SpscQueue in PR 1 is structurally impossible here; see
+// touched under mu_; notifies are issued after the state change is
+// committed under the lock and the lock is dropped, so a parked peer
+// cannot miss a wake-up, a woken peer never immediately blocks on the
+// still-held mutex, and the notify path can never re-enter mu_ (see
 // tests/parallel_test.cc BoundedQueueTest.*Parked* for the regression
 // guards).
 template <typename T>

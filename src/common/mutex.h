@@ -30,7 +30,7 @@ class JISC_CAPABILITY("mutex") Mutex {
 
  private:
   friend class CondVar;
-  // lint: allow(unguarded-mutex): this IS the annotated wrapper
+  // jisc-verify: allow(unguarded-mutex) — this IS the annotated wrapper
   std::mutex mu_;
 };
 
@@ -75,9 +75,8 @@ class JISC_SCOPED_CAPABILITY ReleasableMutexLock {
 
 // Condition variable paired with jisc::Mutex. Wait/WaitFor require the
 // mutex held (and the analysis checks it); the notify side deliberately has
-// no lock requirement — notifying without the mutex is the documented cure
-// for the SpscQueue self-deadlock fixed in PR 1 (MaybeNotify must not
-// re-enter a non-recursive mutex its caller already holds).
+// no lock requirement, so callers notify after dropping the mutex and a
+// notify path can never re-enter a non-recursive mutex its caller holds.
 class CondVar {
  public:
   CondVar() = default;

@@ -6,15 +6,15 @@
 // threading contracts ("this field is protected by that mutex", "this method
 // must hold the lock", "this API may only be driven by the coordinator
 // thread") into machine-checked declarations instead of prose: the CI
-// static-analysis job compiles with -Werror=thread-safety and runs
-// tools/lint_contracts.py, so a violated contract fails the build rather
-// than surfacing later under TSan.
+// static-analysis job compiles with -Werror=thread-safety and the ast-lint
+// job runs tools/jisc_verify, so a violated contract fails CI rather than
+// surfacing later under TSan.
 //
 // The std::mutex shipped with libstdc++ carries none of these attributes,
 // so the analysis cannot see std::lock_guard acquisitions. Guarded state
 // must use the annotated wrappers in common/mutex.h (jisc::Mutex,
 // jisc::MutexLock, jisc::CondVar); naked std::mutex members are rejected
-// by tools/lint_contracts.py.
+// by tools/jisc_verify's unguarded-mutex check.
 //
 // Under GCC (which has no thread-safety analysis) every macro expands to
 // nothing; the contracts are enforced by the clang CI job.
@@ -75,12 +75,12 @@
 
 // Project marker (not part of clang's analysis): the annotated function may
 // only be called from the coordinator thread — the one thread driving a
-// StreamProcessor's public surface. Worker-thread entry points (see
-// tools/lint_contracts.py --list-checks, check `coordinator-only`) are
-// forbidden from calling it; the lint enforces this, since clang's
-// per-function analysis cannot express thread identity. Under clang the
-// marker is also recorded in the AST as an `annotate` attribute so future
-// clang-query tooling can match on it.
+// StreamProcessor's public surface. Code reachable from a worker-thread
+// entry point may not call it; tools/jisc_verify's coordinator-only check
+// enforces this over the call graph, since clang's per-function analysis
+// cannot express thread identity. Under clang the marker is also recorded
+// in the AST as an `annotate` attribute, which jisc_verify's clang frontend
+// reads.
 #if defined(__clang__)
 #define JISC_COORDINATOR_ONLY \
   __attribute__((annotate("jisc::coordinator_only")))

@@ -135,14 +135,7 @@ void Engine::RefreshStateMemoryGauge() {
   }
 }
 
-void Engine::PushNoDrain(const BaseTuple& tuple) {
-  if (options_.max_buffered_arrivals > 0 &&
-      buffer_.size() >= options_.max_buffered_arrivals) {
-    ++shed_tuples_;  // drop-newest load shedding
-    return;
-  }
-  buffer_.push_back(tuple);
-}
+void Engine::PushNoDrain(const BaseTuple& tuple) { buffer_.push_back(tuple); }
 
 void Engine::Drain() {
   while (!buffer_.empty()) {

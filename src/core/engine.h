@@ -35,10 +35,6 @@ class Engine : public StreamProcessor {
     // Fig. 9a (transitions then require a strategy that does not rely on
     // freshness, e.g. Moving State).
     bool track_freshness = true;
-    // Load shedding (Section 2.1 treats it as orthogonal; this is the
-    // standard drop-newest policy): when the buffered-arrival queue exceeds
-    // this bound, PushNoDrain drops the arrival and counts it. 0 = never.
-    size_t max_buffered_arrivals = 0;
     // Number of hash-partitioned worker shards. The Engine itself is always
     // single-threaded; MakeEngineProcessor (core/parallel_engine.h) reads
     // this knob and routes through the sharded ParallelExecutor when it is
@@ -106,7 +102,6 @@ class Engine : public StreamProcessor {
   Sink* sink() { return sink_; }
   Seq max_seq_seen() const { return max_seq_seen_; }
   uint64_t transitions() const { return transitions_; }
-  uint64_t shed_tuples() const { return shed_tuples_; }
 
   // --- strategy support ---
   // Installs a successor executor (built by the strategy) and rewires the
@@ -153,7 +148,6 @@ class Engine : public StreamProcessor {
   Stamp next_stamp_ = 1;
   Seq max_seq_seen_ = 0;
   uint64_t transitions_ = 0;
-  uint64_t shed_tuples_ = 0;
   uint64_t events_since_maintain_ = 0;
   uint64_t events_since_fluid_ = 0;
   // Trace-clock reading taken when a transition was requested; consumed by

@@ -12,15 +12,18 @@ namespace jisc {
 
 // One deterministic work counter. Increments use relaxed atomics so the
 // per-shard engines of the parallel executor can be aggregated without
-// data races; on the single-threaded path an uncontended relaxed fetch_add
-// costs the same as a plain increment on x86/aarch64. Note this makes the
-// individual counter reads race-free, not every metrics entry point: which
-// entry points belong to the coordinator thread is declared (and
-// lint-enforced) by JISC_COORDINATOR_ONLY on the entry point itself — see
-// ParallelExecutor, whose quiescing metrics() carries the marker while
-// MetricsApprox() is the thread-safe alternative. Counters are value
-// types: copying snapshots the current count, which keeps Metrics copyable
-// for before/after deltas in benches and tests.
+// data races. They are not free: an uncontended relaxed fetch_add measured
+// 7.9-9.0 ns against 0.7-0.8 ns for a plain increment (x86-64 at 2.0 GHz,
+// g++ 12.2 microbenchmark), but making Counter non-atomic moved fig09
+// medians by only 1-6 %, inside the run-to-run noise, so counting is not
+// the bottleneck. The atomics make individual counter reads race-free,
+// not every metrics entry point: which entry points belong to the
+// coordinator thread is declared by JISC_COORDINATOR_ONLY on the entry
+// point itself (and enforced by tools/jisc_verify) — see ParallelExecutor,
+// whose quiescing metrics() carries the marker while MetricsApprox() is
+// the thread-safe alternative. Counters are value types: copying snapshots
+// the current count, which keeps Metrics copyable for before/after deltas
+// in benches and tests.
 class Counter {
  public:
   constexpr Counter() = default;
@@ -87,7 +90,12 @@ struct Metrics {
   Counter arrivals;          // base tuples admitted
   Counter messages;          // operator queue messages processed
   Counter probes;            // state probes issued by operators
-  Counter probe_entries;     // entries examined during probes
+  // State entries a probe hands to its operator. Nested-loops joins count
+  // every entry scanned; set difference, semi join and the completion
+  // materializer count the live entries of the probed key; the symmetric
+  // hash join counts only its matched bucket entries (the same number it
+  // adds to `matches`), so entries examined but not matched never show.
+  Counter probe_entries;
   Counter matches;           // successful matches
   Counter inserts;           // state insertions
   Counter removals;          // state entry removals (expiry/suppression)

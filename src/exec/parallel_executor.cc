@@ -103,7 +103,7 @@ void ParallelExecutor::FlushShard(Shard& s) {
     JISC_CHECK(pushed) << "shard feed closed while pushing";
     telemetry_->OnStall(track, telemetry_->NowNs() - t0);
   }
-  telemetry_->SetQueueDepth(track, s.feed.SizeApprox());
+  telemetry_->SetQueueDepth(track, s.feed.size());
 }
 
 void ParallelExecutor::FlushAll() {
@@ -210,7 +210,7 @@ Metrics ParallelExecutor::MetricsApprox() const {
 }
 
 // jisc-worker-entry: runs on a shard thread; calling any
-// JISC_COORDINATOR_ONLY method from here is a lint error.
+// JISC_COORDINATOR_ONLY method from here is a jisc_verify finding.
 void ParallelExecutor::WorkerLoop(int shard_index) {
   Shard& s = *shards_[static_cast<size_t>(shard_index)];
   StreamProcessor* proc = s.processor.get();
@@ -257,7 +257,7 @@ void ParallelExecutor::WorkerLoop(int shard_index) {
     // the worker catches up even if the coordinator stopped flushing, or
     // the watchdog would see phantom backlog on an idle shard.
     if (telemetry_ != nullptr) {
-      telemetry_->SetQueueDepth(track, s.feed.SizeApprox());
+      telemetry_->SetQueueDepth(track, s.feed.size());
     }
   }
 }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/bounded_queue.h"
-#include "common/spsc_queue.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "exec/sink.h"
@@ -48,17 +47,16 @@ class TelemetryRegistry;
 // incomplete ones — the per-value completion protocol of Section 4 never
 // crosses a key boundary, hence never crosses a shard boundary.
 //
-// Threading/queues: each shard is fed through a bounded single-producer
-// queue with blocking backpressure (the coordinator is the only producer);
-// workers acknowledge control events (transition/barrier) through a shared
-// bounded MPSC queue. Shutdown closes every feed and joins the workers
+// Threading/queues: each shard is fed through a BoundedQueue with blocking
+// backpressure (the coordinator is the only producer); workers acknowledge
+// control events (transition/barrier) through a shared BoundedQueue. Shutdown closes every feed and joins the workers
 // after they drain.
 //
 // The public StreamProcessor surface must be driven by ONE thread (the
 // coordinator); every entry point with that contract carries the
 // JISC_COORDINATOR_ONLY marker below — the single source of truth,
-// enforced by tools/lint_contracts.py (worker-thread code may not call a
-// marked method). Push is asynchronous (it returns once the event is
+// enforced by tools/jisc_verify's coordinator-only check (no code reachable
+// from a worker thread may call a marked method). Push is asynchronous (it returns once the event is
 // enqueued); metrics()/StateMemory() quiesce all shards through the same
 // feed queues and ack channel as Push/RequestTransition, which is exactly
 // why they are marked too. Monitoring threads that want a live view must
@@ -147,7 +145,7 @@ class ParallelExecutor : public StreamProcessor {
 
   struct Shard {
     explicit Shard(size_t queue_capacity) : feed(queue_capacity) {}
-    SpscQueue<EventBatch> feed;  // coordinator -> worker (single producer)
+    BoundedQueue<EventBatch> feed;  // coordinator -> worker
     std::unique_ptr<StreamProcessor> processor;
     EventBatch pending;  // coordinator-side batch under construction
     int index = -1;      // telemetry track = index + 1
@@ -163,8 +161,8 @@ class ParallelExecutor : public StreamProcessor {
   // first non-OK status.
   JISC_COORDINATOR_ONLY Status BroadcastAndWait(const ShardEvent& ev);
   // Worker-thread entry point (jisc-worker-entry): everything reachable
-  // from here runs on a shard thread, so tools/lint_contracts.py forbids
-  // calls to JISC_COORDINATOR_ONLY methods inside it.
+  // from here runs on a shard thread, so tools/jisc_verify forbids any
+  // path from it to a JISC_COORDINATOR_ONLY method.
   void WorkerLoop(int shard_index);
 
   Options options_;

@@ -299,7 +299,7 @@ class TelemetrySampler {
   // The sampler owns its background thread: it only reads registry atomics
   // and appends to the mutex-guarded ring, so it cannot deadlock with (or
   // observe partial state of) the executor it watches.
-  // lint: allow(naked-thread): sampler-owned monitoring thread
+  // jisc-verify: allow(naked-thread) — sampler-owned monitoring thread
   std::thread thread_;
 };
 

@@ -9,7 +9,6 @@
 
 #include "common/bounded_queue.h"
 #include "common/mutex.h"
-#include "common/spsc_queue.h"
 #include "common/thread_annotations.h"
 #include "exec/sink.h"
 
@@ -70,7 +69,5 @@ int main() {
   jisc::BoundedQueue<int> mpmc(4);
   int v = 1;
   mpmc.TryPush(v);
-  jisc::SpscQueue<int> spsc(4);
-  spsc.TryPush(v);
   return account.balance() == 8 ? 0 : 1;
 }

@@ -1,8 +1,8 @@
 // Seeded coordinator-only contract violation: a worker-thread entry point
 // calling a JISC_COORDINATOR_ONLY method. This file is never built; the
-// ctest case lint_contracts/coordinator_misuse_rejected runs
-// tools/lint_contracts.py over it and REQUIRES a nonzero exit (WILL_FAIL),
-// proving the lint actually detects the misuse it exists to catch.
+// ctest case jisc_verify/coordinator_misuse_rejected runs tools/jisc_verify
+// over it and REQUIRES a nonzero exit (WILL_FAIL), proving the analyzer
+// actually detects the misuse it exists to catch.
 
 #include <cstdint>
 

@@ -58,21 +58,6 @@ TEST(EngineTest, PushFlushesPendingBuffer) {
   EXPECT_EQ(engine.metrics().arrivals, 3u);
 }
 
-TEST(EngineTest, LoadSheddingDropsNewestWhenBufferFull) {
-  LogicalPlan plan = LogicalPlan::LeftDeep({0, 1}, OpKind::kHashJoin);
-  WindowSpec windows = WindowSpec::Uniform(2, 4);
-  CountingSink sink;
-  Engine::Options opts;
-  opts.max_buffered_arrivals = 5;
-  Engine engine(plan, windows, &sink, MakeJiscStrategy(), opts);
-  auto tuples = UniformWorkload(2, 2, 12);
-  for (const auto& t : tuples) engine.PushNoDrain(t);
-  EXPECT_EQ(engine.buffered(), 5u);
-  EXPECT_EQ(engine.shed_tuples(), 7u);
-  engine.Drain();
-  EXPECT_EQ(engine.metrics().arrivals, 5u);
-}
-
 TEST(EngineTest, MetricsSurviveMigration) {
   LogicalPlan a = LogicalPlan::LeftDeep({0, 1, 2}, OpKind::kHashJoin);
   LogicalPlan b = LogicalPlan::LeftDeep({2, 1, 0}, OpKind::kHashJoin);

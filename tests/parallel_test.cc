@@ -17,7 +17,6 @@
 
 #include "common/bounded_queue.h"
 #include "common/random.h"
-#include "common/spsc_queue.h"
 #include "core/jisc_runtime.h"
 #include "core/parallel_engine.h"
 #include "exec/parallel_executor.h"
@@ -87,11 +86,10 @@ TEST(BoundedQueueTest, PopUnblocksOnClose) {
   consumer.join();
 }
 
-// Regression guards for the notify-while-holding-the-lock self-deadlock
-// shape fixed in SpscQueue in PR 1. Audit result: BoundedQueue never had
-// it — every notify is issued after the lock is dropped, and the notify
-// path cannot re-enter mu_ — but these tests pin the property: a parked
-// waiter must be woken by the opposite operation within a tight deadline.
+// Regression guards for lost and self-deadlocking wake-ups: every notify is
+// issued after the lock is dropped, and the notify path cannot re-enter
+// mu_. These tests pin the property: a parked waiter must be woken by the
+// opposite operation within a tight deadline.
 // On regression the queue is closed so the test fails fast instead of
 // hanging the whole ctest run on join().
 
@@ -148,8 +146,11 @@ TEST(BoundedQueueTest, ParkedProducerWokenByPop) {
   EXPECT_EQ(v, 2);
 }
 
-TEST(SpscQueueTest, OrderedTransferUnderBackpressure) {
-  SpscQueue<uint64_t> q(64);
+// The shard feed shape: one producer, one consumer, a queue far smaller
+// than the stream, so both sides park over and over; FIFO order and the
+// item count must survive exactly.
+TEST(BoundedQueueTest, OrderedTransferUnderBackpressure) {
+  BoundedQueue<uint64_t> q(64);
   constexpr uint64_t kItems = 200000;
   std::thread producer([&] {
     for (uint64_t i = 0; i < kItems; ++i) ASSERT_TRUE(q.Push(i));
@@ -158,27 +159,11 @@ TEST(SpscQueueTest, OrderedTransferUnderBackpressure) {
   uint64_t expected = 0;
   uint64_t v;
   while (q.Pop(&v)) {
-    ASSERT_EQ(v, expected);  // SPSC preserves order exactly
+    ASSERT_EQ(v, expected);  // a single producer's order is kept exactly
     ++expected;
   }
   producer.join();
   EXPECT_EQ(expected, kItems);
-}
-
-TEST(SpscQueueTest, TryOpsRespectCapacity) {
-  SpscQueue<int> q(4);  // rounds to 4
-  int v = 0;
-  size_t pushed = 0;
-  for (int i = 0; i < 64; ++i) {
-    v = i;
-    if (q.TryPush(v)) ++pushed;
-  }
-  EXPECT_EQ(pushed, q.capacity());
-  int out;
-  size_t popped = 0;
-  while (q.TryPop(&out)) ++popped;
-  EXPECT_EQ(popped, pushed);
-  EXPECT_FALSE(q.TryPop(&out));
 }
 
 // --- sharded engine equivalence -------------------------------------------

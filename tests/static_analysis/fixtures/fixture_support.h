@@ -13,6 +13,7 @@
 #include <vector>
 
 #define JISC_COORDINATOR_ONLY __attribute__((annotate("jisc_coordinator_only")))
+#define JISC_GUARDED_BY(x)
 #define JISC_CHECK(cond) \
   if (!(cond)) ::abort(); else (void)0
 

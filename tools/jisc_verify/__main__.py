@@ -1,18 +1,14 @@
 """jisc-verify: AST/call-graph contract analyzer for the JISC repo.
 
-Checks (see DESIGN.md "Analysis contracts"):
-  determinism           no wall-clock / PRNG / unordered-iteration on paths
-                        reaching deterministic serialization roots
-  coordinator-only      no worker-reachable path into JISC_COORDINATOR_ONLY
-                        symbols (transitive; supersedes the regex lint)
-  obs-null-discipline   every Observability*/TelemetryRegistry* deref is
-                        dominated by a null check
-  lock-order            the static jisc::MutexLock acquisition graph is
-                        acyclic
+Checks: four call-graph contracts (determinism, coordinator-only,
+obs-null-discipline, lock-order) and three file-level ones (naked-thread,
+unguarded-mutex, header-hygiene).  `--list-checks` prints what each one
+enforces; DESIGN.md "Analysis contracts" explains them.
 
 Usage:
   python3 tools/jisc_verify [paths...]          # default: src/
   python3 tools/jisc_verify --self-test         # fixture corpus vs golden
+  python3 tools/jisc_verify --list-checks       # markdown check inventory
   python3 tools/jisc_verify --format json --out findings.json
   python3 tools/jisc_verify --frontend clang --build-dir build
 
@@ -116,12 +112,16 @@ def main(argv=None):
                              "findings file")
     parser.add_argument("--update-golden", action="store_true",
                         help="with --self-test: rewrite the golden file")
-    parser.add_argument("--list-checks", action="store_true")
+    parser.add_argument("--list-checks", action="store_true",
+                        help="print the check inventory (markdown) and "
+                             "exit")
     args = parser.parse_args(argv)
 
     if args.list_checks:
-        for c in checks_mod.CHECKS:
-            print(c)
+        print("| check | enforces |")
+        print("| --- | --- |")
+        for name, enforces in checks_mod.CHECKS.items():
+            print(f"| `{name}` | {enforces} |")
         return 0
 
     note = (lambda *a: print(*a, file=sys.stderr))

@@ -1,15 +1,41 @@
-"""The four jisc-verify contract checks, run over a srcmodel.Model.
+"""The jisc-verify contract checks, run over a srcmodel.Model.
 
-Each check returns a list of Finding.  Findings are normalized for golden
-comparison as (check, relpath, line, symbol); the message carries the
-human explanation (and call chains where relevant).
+Four checks walk the function/call-graph IR; three are file-level scans
+of model.files (which both frontends fill).  Each check returns a list of
+Finding.  Findings are normalized for golden comparison as (check,
+relpath, line, symbol); the message carries the human explanation (and
+call chains where relevant).
 """
 
 import os
+import re
 from dataclasses import dataclass, field
 
-CHECKS = ("determinism", "coordinator-only", "obs-null-discipline",
-          "lock-order")
+import srcmodel
+
+# Check name -> what it enforces (printed by --list-checks).
+CHECKS = {
+    "determinism":
+        "no wall-clock read, PRNG draw or unordered iteration reachable "
+        "from a deterministic-serialization root",
+    "coordinator-only":
+        "no worker-reachable path (transitive) into a "
+        "JISC_COORDINATOR_ONLY symbol",
+    "obs-null-discipline":
+        "every Observability* / TelemetryRegistry* dereference is "
+        "dominated by a null check",
+    "lock-order":
+        "the static jisc::MutexLock acquisition graph is acyclic",
+    "naked-thread":
+        "src/: std::thread only inside the parallel engine "
+        "(src/exec/parallel_executor.*, file-waived)",
+    "unguarded-mutex":
+        "a class with a Mutex member has >= 1 JISC_GUARDED_BY / "
+        "JISC_PT_GUARDED_BY field; raw std::mutex members are rejected",
+    "header-hygiene":
+        "src/ headers: canonical JISC_<PATH>_H_ guard, no #pragma once, "
+        "a direct #include for every std symbol used",
+}
 
 
 @dataclass
@@ -142,8 +168,7 @@ def check_coordinator_only(model, repo_root):
     """Any function transitively reachable from a worker-loop root that
     calls a JISC_COORDINATOR_ONLY symbol.  Only unqualified / this-> /
     scope-qualified calls are followed (a receiver-qualified call targets
-    another object, which is the coordinator's business to mediate —
-    matching the regex lint's contract, but now transitive)."""
+    another object, which is the coordinator's business to mediate)."""
     index = _by_name(model)
     roots = [fn for fn in model.functions if fn.worker_entry]
 
@@ -287,6 +312,139 @@ def check_lock_order(model, repo_root, follow_receivers=False):
 
 
 # ---------------------------------------------------------------------------
+# 5-7. File-level checks: naked-thread, unguarded-mutex, header-hygiene
+# ---------------------------------------------------------------------------
+
+def _scanned_files(model, repo_root):
+    """Yields (relpath with '/' separators, comment-stripped code, raw)."""
+    for path, raw in sorted(model.files.items()):
+        rel = _rel(path, repo_root).replace(os.sep, "/")
+        yield rel, srcmodel.strip_comments(raw), raw
+
+
+def check_naked_thread(model, repo_root):
+    """std::thread under src/ outside the parallel engine: everything else
+    must route work through ParallelExecutor.  The engine's own files are
+    exempt through file waivers in tools/analysis_waivers.json."""
+    findings = []
+    for rel, code, _ in _scanned_files(model, repo_root):
+        if not rel.startswith("src/"):
+            continue
+        for m in re.finditer(r"\bstd::thread\b", code):
+            findings.append(Finding(
+                check="naked-thread", file=rel,
+                line=srcmodel.line_of(code, m.start()),
+                symbol="std::thread",
+                message="std::thread outside the parallel engine — route "
+                        "work through ParallelExecutor (or waive with a "
+                        "reason)"))
+    return findings
+
+
+_MUTEX_MEMBER_RE = re.compile(
+    r"^\s*(?:mutable\s+)?(?:jisc::)?(Mutex|std::mutex)\s+([A-Za-z_]\w*)"
+    r"\s*[;{=]", re.M)
+_GUARDED_FIELD_RE = re.compile(r"\bJISC_(?:PT_)?GUARDED_BY\s*\(")
+
+
+def check_unguarded_mutex(model, repo_root):
+    """A class holding a jisc::Mutex must annotate at least one field with
+    JISC_GUARDED_BY / JISC_PT_GUARDED_BY, or -Wthread-safety has nothing
+    to check.  Raw std::mutex members are rejected outright: the analysis
+    cannot see through them."""
+    findings = []
+    for rel, code, _ in _scanned_files(model, repo_root):
+        for cls, open_pos, _, body in srcmodel._class_regions(code):
+            guarded = _GUARDED_FIELD_RE.search(body) is not None
+            for mm in _MUTEX_MEMBER_RE.finditer(body):
+                kind, member = mm.group(1), mm.group(2)
+                if kind == "Mutex" and guarded:
+                    continue
+                if kind == "std::mutex":
+                    message = (f"class {cls}: raw std::mutex member — use "
+                               f"jisc::Mutex so -Wthread-safety can track "
+                               f"it")
+                else:
+                    message = (f"class {cls} holds a Mutex but no field is "
+                               f"JISC_GUARDED_BY it — annotate the "
+                               f"protected state or waive with a reason")
+                findings.append(Finding(
+                    check="unguarded-mutex", file=rel,
+                    line=srcmodel.line_of(code, open_pos + mm.start(1)),
+                    symbol=f"{cls}::{member}", message=message))
+    return findings
+
+
+# Symbol -> required direct include, for the standalone-header rule.  The
+# map is deliberately high-precision: each pattern only matches an
+# unambiguous use of the symbol.
+STD_SYMBOLS = [
+    (r"\bstd::string\b", "<string>"),
+    (r"\bstd::vector<", "<vector>"),
+    (r"\bstd::deque<", "<deque>"),
+    (r"\bstd::map<", "<map>"),
+    (r"\bstd::unordered_map<", "<unordered_map>"),
+    (r"\bstd::unordered_set<", "<unordered_set>"),
+    (r"\bstd::(?:unique_ptr|shared_ptr|make_unique|make_shared|weak_ptr)\b",
+     "<memory>"),
+    (r"\bstd::(?:move|forward|pair|make_pair|swap|exchange)\b", "<utility>"),
+    (r"\bstd::function<", "<functional>"),
+    (r"\bstd::atomic\b", "<atomic>"),
+    (r"\bstd::optional<", "<optional>"),
+    (r"\bstd::ostream\b", "<ostream>"),
+    (r"\bstd::(?:ostringstream|istringstream|stringstream)\b", "<sstream>"),
+    (r"\bstd::chrono\b", "<chrono>"),
+    (r"\bstd::thread\b", "<thread>"),
+    (r"\bstd::mutex\b", "<mutex>"),
+    (r"\bstd::condition_variable\b", "<condition_variable>"),
+    (r"\b(?:u?int(?:8|16|32|64)_t)\b", "<cstdint>"),
+    (r"\bsize_t\b", "<cstddef>"),
+]
+
+_INCLUDE_RE = re.compile(r'#\s*include\s+(<[^>]+>|"[^"]+")')
+
+
+def check_header_hygiene(model, repo_root):
+    """src/ headers must stand alone: the canonical include guard
+    JISC_<PATH>_H_ (no #pragma once) and a direct #include for every std
+    symbol they use."""
+    findings = []
+
+    def add(rel, line, symbol, message):
+        findings.append(Finding(check="header-hygiene", file=rel, line=line,
+                                symbol=symbol, message=message))
+
+    for rel, code, raw in _scanned_files(model, repo_root):
+        if not (rel.startswith("src/") and rel.endswith(".h")):
+            continue
+        pragma = re.search(r"^[ \t]*#[ \t]*pragma[ \t]+once", code, re.M)
+        if pragma:
+            add(rel, srcmodel.line_of(code, pragma.start()), "#pragma once",
+                "#pragma once — use the canonical include guard")
+        want = "JISC_" + re.sub(r"[/.]", "_", rel[len("src/"):]).upper() + "_"
+        guard = re.search(r"^\s*#\s*ifndef\s+(\S+)", code, re.M)
+        if guard is None or guard.group(1) != want:
+            have = guard.group(1) if guard else "none"
+            add(rel, 1, want, f"include guard must be {want} (found {have})")
+        # Header names are string/angle literals, so they are read from the
+        # raw text; the stripped code only vetoes commented-out directives.
+        includes = {m.group(1) for m in _INCLUDE_RE.finditer(raw)
+                    if code[m.start()] == "#"}
+        missing = {}
+        for pattern, header in STD_SYMBOLS:
+            if header in includes:
+                continue
+            m = re.search(pattern, code)
+            if m:
+                missing.setdefault(header, srcmodel.line_of(code, m.start()))
+        for header, line in sorted(missing.items()):
+            add(rel, line, header,
+                f"uses a symbol from {header} without including it "
+                f"directly (headers must stand alone)")
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -305,6 +463,12 @@ def run_checks(model, repo_root, waivers, selected=None,
     if "lock-order" in selected:
         raw += check_lock_order(model, repo_root,
                                 follow_receivers=follow_receivers)
+    if "naked-thread" in selected:
+        raw += check_naked_thread(model, repo_root)
+    if "unguarded-mutex" in selected:
+        raw += check_unguarded_mutex(model, repo_root)
+    if "header-hygiene" in selected:
+        raw += check_header_hygiene(model, repo_root)
 
     findings, waived = [], []
     abs_files = {path: text for path, text in model.files.items()}

@@ -1,8 +1,10 @@
 """Self-test: run the checks over the seeded-violation fixture corpus and
 compare against the golden findings file.
 
-The corpus (tests/static_analysis/fixtures/) seeds violations of all four
-checks plus clean near-miss fixtures that must stay silent.  The golden
+The corpus (tests/static_analysis/fixtures/) seeds violations of every
+check plus clean near-miss fixtures that must stay silent.  The corpus
+root stands in for the repo root, so fixtures under its src/ directory
+exercise the src/-scoped checks (naked-thread, header-hygiene).  The golden
 file pins (check, file, line, symbol) exactly — any drift in either
 direction (missed seeded violation, or a new false positive on a clean
 fixture) fails.  `--update-golden` rewrites the file after intentional

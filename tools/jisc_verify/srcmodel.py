@@ -1,6 +1,6 @@
 """Source model for jisc-verify: the analysis IR plus the textual frontend.
 
-The four contract checks (checks.py) run over a frontend-independent model:
+The contract checks (checks.py) run over a frontend-independent model:
 
   Model
     functions          every function/method/thread-lambda definition, with
@@ -9,7 +9,8 @@ The four contract checks (checks.py) run over a frontend-independent model:
                        acquisitions (with hold extents), unordered-container
                        iterations, and wall-clock/random reads
     coordinator_marks  (class, method) pairs carrying JISC_COORDINATOR_ONLY
-    files              raw text per file (waiver collection)
+    files              raw text per file (waiver collection and the
+                       file-level checks)
 
 Two frontends produce it:
 

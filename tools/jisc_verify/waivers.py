@@ -2,18 +2,19 @@
 
 Two layers, both counted and reported so waived findings stay visible:
 
-  * Per-site comment waivers, the analog of lint_contracts.py's idiom:
+  * Per-site comment waivers:
 
         // jisc-verify: allow(<check>) — <reason>
 
-    A waiver covers its own line and the next code line, mirroring the
-    lint tool.  The separator may be an em-dash, a hyphen, or a colon; a
-    non-empty reason is required (a bare allow() is itself a finding).
+    A waiver covers its own line and the next line.  The separator may be
+    an em-dash, a hyphen, or a colon; a non-empty reason is required (a
+    bare allow() is itself a finding).
 
-  * File-level waivers from tools/analysis_waivers.json (shared with
-    lint_contracts.py): entries of {"path", "checks", "reason"} suppress a
-    whole file for the named checks — used where a class invariant makes
-    per-site guards redundant (e.g. a constructor JISC_CHECK).
+  * File-level waivers from tools/analysis_waivers.json: entries of
+    {"path", "checks", "reason"} suppress a whole file for the named
+    checks — used where a class invariant makes per-site guards redundant
+    (e.g. a constructor JISC_CHECK) or where a file is the sanctioned home
+    of a construct (the parallel engine owns std::thread).
 """
 
 import json
@@ -38,7 +39,6 @@ class Waivers:
                 entry["path"], set(entry["checks"]), entry.get("reason", "")))
         self.deterministic_roots = config.get(
             "deterministic_roots", ["SerializeDeterministic"])
-        self.naked_thread_allowlist = config.get("naked_thread_allowlist", [])
 
     def _rel(self, path):
         try:
